@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
+.PHONY: build test race bench bench-json perfbench-test serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ bench-json:
 		| tee BENCH_$(BENCHSTAMP).txt \
 		| $(GO) run ./cmd/benchjson > BENCH_$(BENCHSTAMP).json
 	@echo "wrote BENCH_$(BENCHSTAMP).txt and BENCH_$(BENCHSTAMP).json"
+
+# Repository benchmark: perfbench is its own module (it requires this one
+# through a replace directive), so the root `go test ./...` never builds it.
+# Vet and test it here so an API change in the packages it drives cannot
+# break the benchmark unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving smoke: a short icgmm-serve run under the race detector, exercising
 # ingest, batched admission, a drift-triggered sync refresh, and JSONL
@@ -163,4 +170,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet build race cover bench serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke
+ci: fmt-check vet build race cover bench perfbench-test serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke

@@ -52,8 +52,8 @@ type workerSession struct {
 	lastCkpt *checkpointInfo
 	closed   bool
 	// lastPub is when the session's full snapshot was last published to the
-	// telemetry registry. Snapshots sort retained histogram samples, so
-	// publishing is time-gated (snapshotMinGap) rather than per-step.
+	// telemetry registry. Snapshots merge every tenant cell's histograms,
+	// so publishing is time-gated (snapshotMinGap) rather than per-step.
 	lastPub time.Time
 }
 
@@ -265,7 +265,7 @@ func (w *Worker) handleStep(body []byte) (any, error) {
 		resp.Closed = true
 	}
 	// Telemetry: cheap progress counters every step; the full snapshot
-	// (which sorts retained histogram samples) only when snapshotMinGap has
+	// (which merges every tenant cell's histograms) only when snapshotMinGap has
 	// passed or the session just finished. Both happen at a batch boundary
 	// on the session's own goroutine, so Metrics() is legal, and neither
 	// writes to the metric stream.

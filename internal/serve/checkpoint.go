@@ -18,8 +18,10 @@ import (
 	"repro/internal/workload"
 )
 
-// checkpointFormat versions the on-disk checkpoint document.
-const checkpointFormat = "icgmm-session-v1"
+// checkpointFormat versions the on-disk checkpoint document. v2 replaced
+// v1's retained raw latency samples with log-linear bucket counts and
+// dropped the per-partition histogram (derived from the tenant cells).
+const checkpointFormat = "icgmm-session-v2"
 
 // checkpointDoc is the complete persisted form of a paused session: the
 // spec that opened it plus every piece of mutable state the run has
@@ -29,7 +31,8 @@ const checkpointFormat = "icgmm-session-v1"
 // document to be exhaustive — the scoring bundle (whose stored resident
 // scores were possibly rescored by refreshes), every cache's contents and
 // owner map, tenant budgets and residency, the controller's hill-climb and
-// cooldown state, every histogram including its retained raw samples, and
+// cooldown state, every latency histogram (exact accumulator plus sparse
+// log-linear bucket counts, so its size does not grow with run length), and
 // the workload streams' RNG cursors. Floats survive the JSON round trip
 // exactly (encoding/json emits the shortest representation that re-parses
 // to identical bits), so nothing here is approximate.
@@ -123,16 +126,15 @@ type tenantCtlState struct {
 
 // partitionState is one partition's complete device state.
 type partitionState struct {
-	Cache        cache.State          `json:"cache"`
-	Policy       policyState          `json:"policy"`
-	HBM          hbm.State            `json:"hbm"`
-	SSD          ssd.State            `json:"ssd"`
-	Link         cxl.Stats            `json:"link"`
-	NowNs        int64                `json:"now_ns"`
-	EngineBusyNs int64                `json:"engine_busy_ns,omitempty"`
-	Ops          uint64               `json:"ops"`
-	Hist         stats.HistogramState `json:"hist"`
-	Tenants      []tenantCellState    `json:"tenants"`
+	Cache        cache.State       `json:"cache"`
+	Policy       policyState       `json:"policy"`
+	HBM          hbm.State         `json:"hbm"`
+	SSD          ssd.State         `json:"ssd"`
+	Link         cxl.Stats         `json:"link"`
+	NowNs        int64             `json:"now_ns"`
+	EngineBusyNs int64             `json:"engine_busy_ns,omitempty"`
+	Ops          uint64            `json:"ops"`
+	Tenants      []tenantCellState `json:"tenants"`
 
 	// Dataflow timing state (omitted under flat timing): the fpga timeline's
 	// cursors and outstanding-window occupancy, plus the partition's
@@ -370,7 +372,6 @@ func (s *Service) exportState() (serviceState, error) {
 			NowNs:        p.now,
 			EngineBusyNs: p.engineBusy,
 			Ops:          p.ops,
-			Hist:         p.hist.State(),
 			Tenants:      make([]tenantCellState, len(p.ten)),
 			HostOps:      p.hostOps,
 			DFOps:        p.dfOps,
@@ -499,9 +500,6 @@ func (s *Service) restoreState(st serviceState) error {
 			}
 		case ps.Shadow != nil || p.shadow != nil:
 			return fmt.Errorf("serve: checkpoint partition %d shadow-policy presence mismatch with the spec", i)
-		}
-		if err := p.hist.RestoreState(ps.Hist); err != nil {
-			return err
 		}
 		if len(ps.Tenants) != len(p.ten) {
 			return fmt.Errorf("serve: checkpoint partition %d has %d tenant cells, spec builds %d", i, len(ps.Tenants), len(p.ten))

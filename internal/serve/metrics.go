@@ -126,10 +126,7 @@ func (s *Snapshot) HitRatio() float64 { return s.Cache.HitRate() }
 // Run).
 func (s *Service) Snapshot() *Snapshot {
 	agg := stats.DefaultLatencyHistogram()
-	// Size the aggregate's sample retention for every partition's retained
-	// samples, so merged percentiles weigh all partitions instead of
-	// filling the default cap from partition 0 alone.
-	agg.SetRetention(len(s.parts) << 16)
+	partHist := stats.DefaultLatencyHistogram()
 	snap := &Snapshot{
 		Batches:         s.batches,
 		Refreshes:       s.refresher.installed,
@@ -141,7 +138,14 @@ func (s *Service) Snapshot() *Snapshot {
 	for i, p := range s.parts {
 		cs := p.cache.Stats()
 		ds := p.dev.Stats()
-		agg.Merge(p.hist)
+		// A partition's latency distribution is the exact merge of its
+		// tenant cells' sojourn histograms: every request lands in exactly
+		// one cell.
+		partHist.Reset()
+		for ti := range p.ten {
+			partHist.Merge(p.ten[ti].hist)
+		}
+		agg.Merge(partHist)
 		snap.Ops += p.ops
 		snap.Cache.Hits += cs.Hits
 		snap.Cache.Misses += cs.Misses
@@ -160,7 +164,7 @@ func (s *Service) Snapshot() *Snapshot {
 			Cache:            cs,
 			SSD:              ds,
 			Link:             p.link.Stats(),
-			Latency:          p.hist.Summarize(),
+			Latency:          partHist.Summarize(),
 			EngineBusy:       time.Duration(p.engineBusy),
 			LastCompletionNs: p.now,
 			HostOps:          p.hostOps,
@@ -238,9 +242,6 @@ func (s *Service) tenantSnapshots() []TenantSnapshot {
 		cxlH := stats.DefaultLatencyHistogram()
 		hbmH := stats.DefaultLatencyHistogram()
 		ssdH := stats.DefaultLatencyHistogram()
-		for _, h := range []*stats.Histogram{hist, cxlH, hbmH, ssdH} {
-			h.SetRetention(len(s.parts) << 16)
-		}
 		ts := TenantSnapshot{
 			Tenant:    t.spec.Name,
 			Threshold: t.threshold,
@@ -388,21 +389,23 @@ func (m *metricsWriter) writeRefresh(batch, installed uint64, threshold float64)
 }
 
 // emitInterval writes one periodic aggregate record and feeds the interval
-// throughput Welford. It reads only O(partitions) counters — no histogram
-// percentile sorting — so periodic reporting stays off the ingest loop's
-// critical path; p50/p99 appear in the final partition/summary records.
+// throughput Welford. It reads only exact counters — the mean is the tenant
+// cells' summed sojourn time over the partitions' op counts, no histogram is
+// merged — so periodic reporting stays off the ingest loop's critical path;
+// p50/p99 appear in the final partition/summary records.
 // Write errors stick in the metricsWriter and are surfaced by processBatch.
 func (s *Service) emitInterval(batchHitRatio float64) {
 	var ops, hits, misses, bypasses uint64
-	var latSum, latCount, makespan int64
+	var latSum, makespan int64
 	for _, p := range s.parts {
 		cs := p.cache.Stats()
 		hits += cs.Hits
 		misses += cs.Misses
 		bypasses += cs.Bypasses
 		ops += p.ops
-		latSum += p.hist.Sum()
-		latCount += p.hist.Count()
+		for ti := range p.ten {
+			latSum += p.ten[ti].latSumNs
+		}
 		if p.now > makespan {
 			makespan = p.now
 		}
@@ -414,8 +417,8 @@ func (s *Service) emitInterval(batchHitRatio float64) {
 	if makespan > 0 {
 		throughput = float64(ops) / (float64(makespan) / 1e9)
 	}
-	if latCount > 0 {
-		mean = float64(latSum) / float64(latCount)
+	if ops > 0 {
+		mean = float64(latSum) / float64(ops)
 	}
 	if makespan > s.lastMakespan {
 		dOps := ops - s.lastIntervalOps

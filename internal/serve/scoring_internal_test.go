@@ -157,10 +157,11 @@ func allocService(t *testing.T, scoring ScoringKind) (*Service, *Bundle) {
 }
 
 // TestDrainBatchSteadyStateAllocs pins the serving hot path at zero
-// steady-state allocations for both scoring datapaths. The warm-up must
-// saturate every latency histogram's raw-sample retention (65536 samples on
-// the hit side and the miss side independently) — until then Observe still
-// appends, and the measurement would blame the scorer for histogram growth.
+// steady-state allocations for both scoring datapaths. The warm-up must let
+// every latency histogram's counts slice grow to the highest bucket the
+// traffic reaches, on the hit side and the miss side independently — until
+// then Observe may still extend it, and the measurement would blame the
+// scorer for histogram growth.
 func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("histogram saturation warm-up is slow in -short mode")
@@ -188,8 +189,8 @@ func TestDrainBatchSteadyStateAllocs(t *testing.T) {
 					seq++
 				}
 			}
-			// 280 batches x 256 per side = ~71k hits and ~71k misses, past the
-			// 65536-sample retention cap on both sides.
+			// 280 batches x 256 per side = ~71k hits and ~71k misses, long
+			// enough for the sojourn times to reach their steady range.
 			for it := 0; it < 280; it++ {
 				fill()
 				p.drainBatch(b)

@@ -361,7 +361,6 @@ type partition struct {
 	now        int64 // completion time of the last request served here
 	engineBusy int64
 	ops        uint64
-	hist       *stats.Histogram
 	ten        []tenantPartStats // per-tenant accounting cells
 
 	// Dataflow accounting (zero under flat timing): requests routed to host
@@ -524,7 +523,6 @@ func New(cfg Config, b *Bundle) (*Service, error) {
 			model:  model,
 			timing: cfg.Device.Timing,
 			shadow: shadow,
-			hist:   stats.DefaultLatencyHistogram(),
 			ten:    ten,
 		}
 	}
@@ -800,7 +798,6 @@ func (p *partition) serveOne(req Request, score float64) {
 		p.ops++
 		p.batchOps++
 		p.batchHits++
-		p.hist.Observe(lat)
 		ts := &p.ten[req.Tenant]
 		ts.ops++
 		ts.ctrlOps++
@@ -823,7 +820,6 @@ func (p *partition) serveOne(req Request, score float64) {
 		p.now = r.doneNs
 	}
 	sojourn := r.doneNs - req.ArrivalNs
-	p.hist.Observe(sojourn)
 	p.ops++
 	p.batchOps++
 	if res.Hit {

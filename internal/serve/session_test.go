@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -449,9 +450,149 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 			panic("no set with two valid blocks to duplicate")
 		},
 	}
+	// Histogram state: partition 0's first tenant cell.
+	cellHist := func(doc map[string]any) map[string]any {
+		p := state(doc)["partitions"].([]any)[0].(map[string]any)
+		return p["tenants"].([]any)[0].(map[string]any)["hist"].(map[string]any)
+	}
+	cases["histogram bucket past the top"] = func(doc map[string]any) {
+		cellHist(doc)["counts"].(map[string]any)["100000"] = 1.0
+	}
+	cases["histogram negative bucket"] = func(doc map[string]any) {
+		cellHist(doc)["counts"].(map[string]any)["-3"] = 1.0
+	}
+	cases["histogram counts off its sample count"] = func(doc map[string]any) {
+		acc := cellHist(doc)["acc"].(map[string]any)
+		acc["count"] = acc["count"].(float64) + 1
+	}
+	cases["histogram min above max"] = func(doc map[string]any) {
+		acc := cellHist(doc)["acc"].(map[string]any)
+		acc["min"] = acc["max"].(float64) + 1
+	}
 	for name, mutate := range cases {
 		if _, err := serve.Resume(bytes.NewReader(tamper(t, mutate)), nil); err == nil {
 			t.Errorf("%s: corrupt checkpoint resumed", name)
 		}
 	}
+}
+
+// TestResumeRefusesV1Checkpoint: a checkpoint in the v1 format — whose
+// histograms carried retained raw samples instead of log-linear bucket
+// counts — is refused with the format error rather than resumed with
+// empty or misread histograms.
+func TestResumeRefusesV1Checkpoint(t *testing.T) {
+	t.Parallel()
+	sess, err := serve.Open(smallSessionSpec(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Step(2); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := sess.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(ckpt.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc["format"] != "icgmm-session-v2" {
+		t.Fatalf("checkpoint format %v, want icgmm-session-v2", doc["format"])
+	}
+	// Rewrite every histogram in the v1 shape: geometry, retained samples
+	// and a retention cap around the exact accumulator.
+	for _, p := range doc["state"].(map[string]any)["partitions"].([]any) {
+		for _, c := range p.(map[string]any)["tenants"].([]any) {
+			cell := c.(map[string]any)
+			for _, k := range []string{"hist", "cxl", "hbm", "ssd", "ctrl_hist"} {
+				if h, ok := cell[k].(map[string]any); ok {
+					cell[k] = map[string]any{"base": 100, "growth": 1.07, "nbuckets": 240,
+						"acc": h["acc"], "samples": []int{}, "max_keep": 65536}
+				}
+			}
+		}
+	}
+	encode := func(format string) []byte {
+		doc["format"] = format
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	_, err = serve.Resume(bytes.NewReader(encode("icgmm-session-v1")), nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown checkpoint format "icgmm-session-v1"`) {
+		t.Fatalf("v1 checkpoint: err = %v, want the unknown-format error", err)
+	}
+	// Mislabelled as v2, the v1 histograms carry no bucket counts for their
+	// samples and fail histogram validation instead of resuming empty.
+	if _, err := serve.Resume(bytes.NewReader(encode("icgmm-session-v2")), nil); err == nil {
+		t.Fatal("v1-shaped histograms resumed under the v2 label")
+	}
+}
+
+// TestCheckpointSizeFlatInRunLength: a serve-single-shaped session (one
+// parsec stream with drift, flat timing, 16 partitions, 2 shards)
+// checkpointed at batch N and at batch 2N grows by less than 5% of the
+// checkpoint in histogram bytes. Histograms hold bucket counts, not raw
+// samples, so a longer run only fills in sparse tail buckets (each histogram
+// is capped at the bucket range) instead of adding bytes per request.
+func TestCheckpointSizeFlatInRunLength(t *testing.T) {
+	t.Parallel()
+	spec := serve.Spec{
+		Version:    serve.SpecVersion,
+		Shards:     2,
+		Partitions: 16,
+		Ops:        1 << 20,
+		Cache:      &serve.CacheSpec{SizeMB: 16},
+		Train:      &serve.TrainSpec{K: 16, Seed: 1},
+		Workload:   &serve.WorkloadSpec{Name: "parsec", Seed: 2, Rate: 10000, Drift: true},
+		Refresh:    &serve.RefreshSpec{Mode: "sync"},
+		Device:     &serve.DeviceSpec{Timing: "flat"},
+	}
+	sess, err := serve.Open(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// histBytes returns the checkpoint's size and the bytes its tenant
+	// cells' histograms take.
+	histBytes := func() (total, hist int) {
+		var ckpt bytes.Buffer
+		if err := sess.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			State struct {
+				Partitions []struct {
+					Tenants []map[string]json.RawMessage `json:"tenants"`
+				} `json:"partitions"`
+			} `json:"state"`
+		}
+		if err := json.Unmarshal(ckpt.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range doc.State.Partitions {
+			for _, cell := range p.Tenants {
+				for _, k := range []string{"hist", "cxl", "hbm", "ssd", "ctrl_hist"} {
+					hist += len(cell[k])
+				}
+			}
+		}
+		return ckpt.Len(), hist
+	}
+	const n = 32 // 2N = 64 batches of 8192: the first half of a 1M-op run
+	if _, err := sess.Step(n); err != nil {
+		t.Fatal(err)
+	}
+	totalN, histN := histBytes()
+	if _, err := sess.Step(n); err != nil {
+		t.Fatal(err)
+	}
+	_, hist2N := histBytes()
+	if grew := hist2N - histN; float64(grew) >= 0.05*float64(totalN) {
+		t.Errorf("histogram bytes grew %d -> %d between batch %d and %d, >= 5%% of the %d-byte checkpoint",
+			histN, hist2N, n, 2*n, totalN)
+	}
+	t.Logf("checkpoint %d bytes at batch %d; histogram bytes %d -> %d at batch %d", totalN, n, histN, hist2N, 2*n)
 }

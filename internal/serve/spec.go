@@ -268,7 +268,7 @@ type TelemetrySpec struct {
 	Trace string `json:"trace,omitempty"`
 	// SnapshotEvery is how often (in ingest batches) the loader publishes a
 	// full Session.Metrics snapshot to the /metrics and /status endpoints
-	// (default 16). Snapshots sort retained histogram samples, so very
+	// (default 16). Snapshots merge every tenant cell's histograms, so very
 	// small values trade serving throughput for telemetry freshness.
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -354,5 +355,102 @@ func TestValidateWarmup(t *testing.T) {
 	}
 	if err := serve.ValidateWarmup(span*4, tcfg, balanced); err != nil {
 		t.Errorf("balanced tenants rejected: %v", err)
+	}
+}
+
+// p99Spec is a two-tenant run with p99_ns QoS on both tenants: "tight"
+// carries a ceiling far below its natural p99 (a violation the controller
+// relieves by loosening the tenant's admission threshold, admitting more),
+// "loose" a ceiling far above it (comfortable, so its threshold tightens).
+func p99Spec(t testing.TB, shards int) serve.Spec {
+	t.Helper()
+	spec, err := serve.ParseSpec([]byte(`{
+	 "version": 1, "shards": 1, "partitions": 4, "ops": 16384, "warmup": 16000,
+	 "batch": 1024, "report": 4,
+	 "cache": {"size_mb": 1, "ways": 8},
+	 "train": {"k": 4, "max_iters": 6, "max_samples": 2000, "lloyd_iters": 2, "shot": 128},
+	 "control": {"every": 2, "step": 1.6, "min_mult": 0.125, "max_mult": 8},
+	 "tenants": [
+	  {"name": "tight",
+	   "custom": {"Name": "tight-ws", "TotalPages": 300,
+	    "Clusters": [{"CenterPage": 80, "Spread": 25}, {"CenterPage": 220, "Spread": 20}],
+	    "WriteFrac": 0.2},
+	   "seed": 1, "rate": 20000, "share": 0.5,
+	   "qos": {"metric": "p99_ns", "target": 2000, "band": 0.1}},
+	  {"name": "loose",
+	   "custom": {"Name": "loose-ws", "TotalPages": 160,
+	    "Clusters": [{"CenterPage": 60, "Spread": 20}], "WriteFrac": 0.3},
+	   "seed": 2, "rate": 10000, "offset_pages": 65536, "share": 0.5,
+	   "qos": {"metric": "p99_ns", "target": 1e9, "band": 0.1}}
+	 ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Shards = shards
+	return spec
+}
+
+// TestP99QoSLever covers the only controller metric that reads a
+// percentile: the p99_ns run is byte-identical at shards 1/2/8 and across a
+// mid-run checkpoint (the controller's scratch histogram carries no state),
+// and the first control step moves each tenant's multiplier the way its
+// classification asks — loosening (mult < 1) the violated tenant, tightening
+// (mult > 1) the comfortable one.
+func TestP99QoSLever(t *testing.T) {
+	t.Parallel()
+	run := func(shards int, pauseAt int) []byte {
+		var pre, post bytes.Buffer
+		sess, err := serve.Open(p99Spec(t, shards), &pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pauseAt > 0 {
+			if _, err := sess.Step(pauseAt); err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := sess.Checkpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if sess, err = serve.Resume(&ckpt, &post); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return append(pre.Bytes(), post.Bytes()...)
+	}
+	want := run(1, 0)
+	for _, shards := range []int{1, 2, 8} {
+		if got := run(shards, 5); !bytes.Equal(got, want) {
+			t.Errorf("shards=%d with a checkpoint at batch 5: JSONL diverges from the uninterrupted shards=1 run", shards)
+		}
+	}
+
+	first := map[string]map[string]any{}
+	for _, line := range bytes.Split(bytes.TrimSpace(want), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		name, _ := rec["tenant"].(string)
+		if rec["kind"] == "control" && first[name] == nil {
+			if rec["qos_metric"] != "p99_ns" {
+				t.Fatalf("control record %s measures %v, want p99_ns", line, rec["qos_metric"])
+			}
+			first[name] = rec
+		}
+	}
+	tight, loose := first["tight"], first["loose"]
+	if tight == nil || loose == nil {
+		t.Fatalf("missing control records: %v", first)
+	}
+	if tight["within_qos"] != false || tight["mult"].(float64) >= 1 {
+		t.Errorf("violated p99 tenant: first control step %v, want within_qos false and mult < 1 (admit more)", tight)
+	}
+	if loose["within_qos"] != true || loose["mult"].(float64) <= 1 {
+		t.Errorf("comfortable p99 tenant: first control step %v, want within_qos true and mult > 1 (admit less)", loose)
 	}
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file is the measurement substrate's checkpoint surface: exact,
 // JSON-friendly state exports for the accumulators the serving subsystem
@@ -45,67 +48,65 @@ func (w *Welford) RestoreState(s WelfordState) {
 	w.n, w.mean, w.m2 = s.N, s.Mean, s.M2
 }
 
-// HistogramState is the full state of a Histogram: geometry, bucket counts,
-// the exact accumulator, and the retained raw samples in observation order.
-// Sample order matters — Merge truncates at the destination's retention cap,
-// so two histograms with the same samples in different orders can diverge
-// after a capped merge — which is why State preserves it.
+// HistogramState is the full state of a Histogram: the exact accumulator
+// plus the non-zero bucket counts keyed by bucket index. Its size is bounded
+// by the bucket range, never by the number of samples observed.
 type HistogramState struct {
-	Base    float64          `json:"base"`
-	Growth  float64          `json:"growth"`
-	NBucket int              `json:"nbuckets"`
-	Buckets map[int]uint64   `json:"buckets,omitempty"` // sparse: only non-zero
-	Under   uint64           `json:"under,omitempty"`
-	Acc     AccumulatorState `json:"acc"`
-	Samples []int64          `json:"samples,omitempty"`
-	MaxKeep int              `json:"max_keep"`
+	Acc    AccumulatorState `json:"acc"`
+	Counts map[int]uint64   `json:"counts,omitempty"`
 }
 
-// State exports the histogram. Bucket counts are stored sparsely (most of a
-// latency histogram's 240 buckets are empty), samples verbatim.
+// State exports the histogram.
 func (h *Histogram) State() HistogramState {
-	s := HistogramState{
-		Base:    h.base,
-		Growth:  h.growth,
-		NBucket: len(h.buckets),
-		Under:   h.under,
-		Acc:     h.acc.State(),
-		MaxKeep: h.maxKeep,
-	}
-	for i, c := range h.buckets {
+	s := HistogramState{Acc: h.acc.State()}
+	for i, c := range h.counts {
 		if c > 0 {
-			if s.Buckets == nil {
-				s.Buckets = make(map[int]uint64)
+			if s.Counts == nil {
+				s.Counts = make(map[int]uint64)
 			}
-			s.Buckets[i] = c
+			s.Counts[i] = c
 		}
-	}
-	if len(h.samples) > 0 {
-		s.Samples = append([]int64(nil), h.samples...)
 	}
 	return s
 }
 
-// RestoreState replaces the histogram's entire contents — geometry included —
-// with the exported state.
+// RestoreState replaces the histogram's contents with the exported state.
+// A state that no sequence of observations could produce is refused: a
+// bucket index outside the bucket range, counts that do not sum to the
+// accumulator's count, min above max, or min/max outside the lowest and
+// highest non-empty buckets. On error the histogram is left unchanged.
 func (h *Histogram) RestoreState(s HistogramState) error {
-	if s.Base <= 0 || s.Growth <= 1 || s.NBucket <= 0 {
-		return errors.New("stats: histogram state with invalid geometry")
+	a := s.Acc
+	if a.Count < 0 || a.Min > a.Max {
+		return fmt.Errorf("stats: histogram state with count %d, min %d, max %d", a.Count, a.Min, a.Max)
 	}
-	if len(s.Samples) > s.MaxKeep {
-		return errors.New("stats: histogram state retains more samples than its cap")
-	}
-	h.base, h.growth = s.Base, s.Growth
-	h.buckets = make([]uint64, s.NBucket)
-	for i, c := range s.Buckets {
-		if i < 0 || i >= s.NBucket {
-			return errors.New("stats: histogram state bucket index out of range")
+	var total uint64
+	lo, hi := topBucket+1, -1
+	for i, c := range s.Counts {
+		if i < 0 || i > topBucket {
+			return fmt.Errorf("stats: histogram state bucket index %d outside [0, %d]", i, topBucket)
 		}
-		h.buckets[i] = c
+		if c > uint64(a.Count)-total {
+			return fmt.Errorf("stats: histogram state bucket counts exceed its sample count %d", a.Count)
+		}
+		total += c
+		if c > 0 {
+			lo, hi = min(lo, i), max(hi, i)
+		}
 	}
-	h.under = s.Under
-	h.acc.RestoreState(s.Acc)
-	h.samples = append(h.samples[:0], s.Samples...)
-	h.maxKeep = s.MaxKeep
+	if total != uint64(a.Count) {
+		return fmt.Errorf("stats: histogram state bucket counts sum to %d, sample count is %d", total, a.Count)
+	}
+	if a.Count > 0 && (bucketIndex(a.Min) != lo || bucketIndex(a.Max) != hi) {
+		return errors.New("stats: histogram state min/max disagree with its non-empty buckets")
+	}
+	h.acc.RestoreState(a)
+	h.counts = h.counts[:0]
+	h.grow(hi + 1)
+	for i, c := range s.Counts {
+		if c > 0 {
+			h.counts[i] = c
+		}
+	}
 	return nil
 }

@@ -2,24 +2,23 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // TestHistogramStateRoundTrip: State/RestoreState must reproduce the
-// histogram exactly — counts, accumulator, retained samples in order — and
-// survive a JSON round trip, since the serving checkpoint ships the state
-// as JSON.
+// histogram exactly — accumulator and every bucket count — and survive a
+// JSON round trip, since the serving checkpoint ships the state as JSON.
 func TestHistogramStateRoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	h := DefaultLatencyHistogram()
-	h.SetRetention(1 << 17)
 	for i := 0; i < 5000; i++ {
 		h.Observe(int64(rng.ExpFloat64() * 2e5))
 	}
-	h.Observe(3) // below-base bucket
+	h.Observe(3) // exact bucket
 
 	data, err := json.Marshal(h.State())
 	if err != nil {
@@ -51,16 +50,35 @@ func TestHistogramStateRoundTrip(t *testing.T) {
 		t.Error("restored histogram diverged on the next observation")
 	}
 
-	// Invalid states are rejected.
+	// States no observation sequence produces are rejected, leaving the
+	// target untouched.
+	acc := AccumulatorState{Sum: 300, Count: 2, Min: 100, Max: 200}
+	lo, hi := bucketIndex(100), bucketIndex(200)
 	bad := map[string]HistogramState{
-		"zero geometry":       {},
-		"over-cap samples":    {Base: 100, Growth: 1.07, NBucket: 4, MaxKeep: 1, Samples: []int64{1, 2}},
-		"bucket out of range": {Base: 100, Growth: 1.07, NBucket: 4, MaxKeep: 8, Buckets: map[int]uint64{9: 1}},
+		"negative bucket":       {Acc: acc, Counts: map[int]uint64{-1: 1, hi: 1}},
+		"bucket past the top":   {Acc: acc, Counts: map[int]uint64{lo: 1, topBucket + 1: 1}},
+		"counts short of count": {Acc: acc, Counts: map[int]uint64{lo: 1}},
+		"counts over count":     {Acc: acc, Counts: map[int]uint64{lo: 1, hi: 2}},
+		"counts wrap uint64":    {Acc: acc, Counts: map[int]uint64{lo: 3, hi: math.MaxUint64}},
+		"negative count":        {Acc: AccumulatorState{Count: -1}},
+		"min above max":         {Acc: AccumulatorState{Sum: 300, Count: 2, Min: 200, Max: 100}, Counts: map[int]uint64{lo: 1, hi: 1}},
+		"min off its bucket":    {Acc: AccumulatorState{Sum: 300, Count: 2, Min: 50, Max: 200}, Counts: map[int]uint64{lo: 1, hi: 1}},
+		"max off its bucket":    {Acc: AccumulatorState{Sum: 300, Count: 2, Min: 100, Max: 900}, Counts: map[int]uint64{lo: 1, hi: 1}},
 	}
 	for name, st := range bad {
-		if err := DefaultLatencyHistogram().RestoreState(st); err == nil {
+		target := DefaultLatencyHistogram()
+		target.Observe(7)
+		before := target.State()
+		if err := target.RestoreState(st); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+		if !reflect.DeepEqual(target.State(), before) {
+			t.Errorf("%s: rejected state modified the histogram", name)
+		}
+	}
+	good := HistogramState{Acc: acc, Counts: map[int]uint64{lo: 1, hi: 1}}
+	if err := DefaultLatencyHistogram().RestoreState(good); err != nil {
+		t.Errorf("valid state rejected: %v", err)
 	}
 }
 

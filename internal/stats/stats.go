@@ -1,13 +1,14 @@
 // Package stats provides the measurement substrate shared by the ICGMM
-// simulator: counters, latency accumulators, histograms with percentile
-// queries, and renderers that print results in the same row/series formats
-// as the paper's tables and figures.
+// simulator: counters, latency accumulators, fixed-precision log-linear
+// latency histograms (exact count/sum/min/max/mean; percentiles within 2^-7,
+// about 0.8%, over every sample observed), and renderers that print results
+// in the same row/series formats as the paper's tables and figures.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 )
 
@@ -108,79 +109,86 @@ func (a *LatencyAccumulator) Min() int64 { return a.min }
 // Max returns the largest sample, or 0 with no samples.
 func (a *LatencyAccumulator) Max() int64 { return a.max }
 
-// Histogram is a log-bucketed latency histogram. Buckets grow geometrically
-// from Base by Growth per bucket, which keeps memory constant regardless of
-// the latency range (nanoseconds to seconds).
+// Histogram is a fixed-precision log-linear latency histogram, the integer
+// bucketing of HdrHistogram (http://hdrhistogram.org) and DDSketch
+// (arXiv:1908.10693). Values below 2^6 ns get one exact bucket each; above
+// that a value's bucket is its octave (bits.Len64) plus the next 6 mantissa
+// bits, so every bucket midpoint lies within 2^-7 (~0.8%) of every value the
+// bucket holds. Values at or above 2^40 ns (~18 minutes) share the top
+// bucket. Count, sum, min and max are exact in the accumulator.
+//
+// The counts slice grows lazily to the highest bucket observed, so a
+// histogram of microsecond latencies holds a few hundred counters, and its
+// size never depends on how many samples it saw. Observe is one accumulator
+// update and one increment; Merge is a vector add, exact and
+// order-independent. The zero Histogram is empty and ready to use.
 type Histogram struct {
-	base    float64
-	growth  float64
-	buckets []uint64
-	under   uint64 // samples below base
-	acc     LatencyAccumulator
-	samples []int64 // raw retention for exact percentiles, bounded
-	maxKeep int
+	acc    LatencyAccumulator
+	counts []uint64
 }
 
-// NewHistogram creates a histogram with the given base (smallest bucketed
-// value, ns), per-bucket growth factor (>1) and bucket count.
-func NewHistogram(base float64, growth float64, nbuckets int) *Histogram {
-	if base <= 0 {
-		base = 1
+const (
+	// subBits is the number of mantissa bits kept below each octave's
+	// leading bit: 2^subBits buckets per octave, relative error 2^-(subBits+1).
+	subBits  = 6
+	subCount = 1 << subBits
+	// maxBits caps the bucketed range: values >= 2^maxBits ns go to the top
+	// bucket, whose index is the bucket 2^maxBits itself would take.
+	maxBits   = 40
+	topBucket = (maxBits - subBits + 1) << subBits
+)
+
+// bucketIndex maps a latency to its bucket. Negative values (never produced
+// by the timing models) share bucket 0 with zero.
+func bucketIndex(ns int64) int {
+	switch {
+	case ns < subCount:
+		return int(max(ns, 0))
+	case ns >= 1<<maxBits:
+		return topBucket
 	}
-	if growth <= 1 {
-		growth = 2
-	}
-	if nbuckets <= 0 {
-		nbuckets = 64
-	}
-	return &Histogram{
-		base:    base,
-		growth:  growth,
-		buckets: make([]uint64, nbuckets),
-		maxKeep: 1 << 16,
-	}
+	shift := bits.Len64(uint64(ns)) - subBits - 1
+	return shift<<subBits + int(ns>>shift)
 }
 
-// DefaultLatencyHistogram covers 100 ns .. ~1 s with ~7% resolution.
-func DefaultLatencyHistogram() *Histogram {
-	return NewHistogram(100, 1.07, 240)
+// bucketMid returns the midpoint of bucket i: the value itself for the exact
+// buckets, lower bound plus half the width above them.
+func bucketMid(i int) int64 {
+	shift := i>>subBits - 1
+	if shift <= 0 {
+		return int64(i)
+	}
+	lower := int64(i&(subCount-1)|subCount) << shift
+	return lower + 1<<(shift-1)
 }
 
-// Observe records one sample in nanoseconds.
+// DefaultLatencyHistogram returns an empty histogram. It covers 0 ns to
+// 2^40 ns at 2^-7 relative resolution.
+func DefaultLatencyHistogram() *Histogram { return &Histogram{} }
+
+// Observe records one sample in nanoseconds. It allocates only when the
+// sample lands above every bucket seen so far.
 func (h *Histogram) Observe(ns int64) {
 	h.acc.Observe(ns)
-	if len(h.samples) < h.maxKeep {
-		h.samples = append(h.samples, ns)
+	i := bucketIndex(ns)
+	if i >= len(h.counts) {
+		h.grow(i + 1)
 	}
-	v := float64(ns)
-	if v < h.base {
-		h.under++
-		return
-	}
-	idx := int(math.Log(v/h.base) / math.Log(h.growth))
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
+	h.counts[i]++
 }
 
-// Merge folds other into h. Both histograms must share bucket geometry
-// (base, growth, bucket count); Merge panics otherwise, since silently mixing
-// geometries would corrupt every percentile afterwards. The accumulator merge
-// is exact (integer sums and counts); retained raw samples are appended up to
-// h's retention cap, so merged percentiles carry the same reservoir caveat as
-// Observe — and a caller folding many histograms into one should first
-// SetRetention(sources * per-source cap) on the destination, otherwise the
-// cap fills from the first sources and later ones stop contributing to
-// percentiles. Merging per-shard histograms in a fixed order yields
-// deterministic aggregate summaries — the property the serving subsystem's
-// determinism contract leans on.
+// grow extends counts with zero buckets to length n.
+func (h *Histogram) grow(n int) {
+	h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
+}
+
+// Merge folds other into h. Counts, sum, min and max merge exactly, so
+// merging per-shard histograms in any order yields the histogram of the
+// concatenated stream, bucket for bucket — the property the serving
+// subsystem's determinism contract leans on.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.acc.count == 0 {
 		return
-	}
-	if h.base != other.base || h.growth != other.growth || len(h.buckets) != len(other.buckets) {
-		panic("stats: merging histograms with different geometry")
 	}
 	if h.acc.count == 0 || other.acc.min < h.acc.min {
 		h.acc.min = other.acc.min
@@ -190,106 +198,59 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.acc.sum += other.acc.sum
 	h.acc.count += other.acc.count
-	h.under += other.under
-	for i, c := range other.buckets {
-		h.buckets[i] += c
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts))
 	}
-	if room := h.maxKeep - len(h.samples); room > 0 {
-		take := other.samples
-		if len(take) > room {
-			take = take[:room]
-		}
-		h.samples = append(h.samples, take...)
+	for i, c := range other.counts {
+		h.counts[i] += c
 	}
 }
 
-// SetRetention raises the raw-sample retention cap (default 65536). Call it
-// on a fresh histogram before observing or merging; it never drops samples
-// already retained.
-func (h *Histogram) SetRetention(n int) {
-	if n > h.maxKeep {
-		h.maxKeep = n
-	}
-}
+// SetRetention is a no-op kept for callers written against the earlier
+// sample-retaining histogram (the repository benchmark still calls it):
+// the histogram keeps no raw samples, so there is nothing to size.
+func (h *Histogram) SetRetention(int) {}
 
-// Reset empties the histogram while keeping its geometry, retention cap and
-// retained-sample capacity, so interval accumulators (the adaptive
-// controller's per-control-window histograms) can be reused without
-// reallocating.
+// Reset empties the histogram while keeping its counts slice, so interval
+// accumulators (the adaptive controller's per-control-window histograms) can
+// be reused without reallocating.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.under = 0
+	clear(h.counts)
 	h.acc = LatencyAccumulator{}
-	h.samples = h.samples[:0]
 }
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() int64 { return h.acc.Count() }
 
-// Sum returns the exact total of all observed samples in nanoseconds — an
-// O(1) accessor for callers that need aggregate means without the
-// percentile-sorting cost of Summarize.
+// Sum returns the exact total of all observed samples in nanoseconds.
 func (h *Histogram) Sum() int64 { return h.acc.Sum() }
 
 // Mean returns the mean of observed samples in nanoseconds.
 func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 
-// Percentile returns the p-th percentile of the retained raw samples, with
-// linear interpolation between ranks. The edges are pinned: an empty
-// histogram returns 0, p <= 0 returns the minimum retained sample, p >= 100
-// the maximum, and a NaN p returns 0 (it is a caller bug, but an
-// unanswerable query must not panic the metrics path). Percentiles are exact
-// while the sample count is at or below the retention cap and an
-// approximation from the retained prefix beyond it (Count keeps the true
-// total either way).
+// Percentile returns the p-th percentile: the midpoint of the bucket holding
+// the sample at rank floor(p/100 * (count-1)), clamped to [min, max], so it
+// lies within 2^-7 of that sample below the top bucket. The edges are
+// pinned: an empty histogram returns 0, p <= 0 returns the exact minimum,
+// p >= 100 the exact maximum, and a NaN p returns 0 (it is a caller bug, but
+// an unanswerable query must not panic the metrics path).
 func (h *Histogram) Percentile(p float64) int64 {
-	if len(h.samples) == 0 || math.IsNaN(p) {
+	switch {
+	case h.acc.count == 0 || math.IsNaN(p):
 		return 0
+	case p <= 0:
+		return h.acc.min
+	case p >= 100:
+		return h.acc.max
 	}
-	s := make([]int64, len(h.samples))
-	copy(s, h.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return int64(float64(s[lo])*(1-frac) + float64(s[hi])*frac)
-}
-
-// BucketBounds returns the lower bound of bucket i in nanoseconds.
-func (h *Histogram) BucketBounds(i int) float64 {
-	return h.base * math.Pow(h.growth, float64(i))
-}
-
-// NonEmptyBuckets returns (lowerBoundNs, count) pairs for buckets with data.
-func (h *Histogram) NonEmptyBuckets() []BucketCount {
-	var out []BucketCount
-	if h.under > 0 {
-		out = append(out, BucketCount{Lower: 0, Count: h.under})
-	}
-	for i, c := range h.buckets {
-		if c > 0 {
-			out = append(out, BucketCount{Lower: h.BucketBounds(i), Count: c})
+	rank := uint64(p / 100 * float64(h.acc.count-1))
+	var seen uint64
+	for i, c := range h.counts {
+		if seen += c; seen > rank {
+			return min(max(bucketMid(i), h.acc.min), h.acc.max)
 		}
 	}
-	return out
-}
-
-// BucketCount is one (lower bound, count) histogram entry.
-type BucketCount struct {
-	Lower float64
-	Count uint64
+	return h.acc.max
 }
 
 // Summary is a compact snapshot of a latency distribution.
