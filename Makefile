@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json perfbench-test serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
+.PHONY: build test race bench bench-json perfbench-test perfbench-smoke serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario cover fuzz-smoke fmt vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,21 @@ bench-json:
 # break the benchmark unnoticed.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Repository benchmark smoke: one short end-to-end run per perfbench
+# workload. Each run checks its own outputs (a resumed session's tail equals
+# the live session's bytes, a repeated session or grid round reproduces its
+# stream, served ops match the spec); the target fails unless the run
+# reports "correct":true and "failed":0.
+PERFBENCH_WORKLOADS := serve-single serve-tenants paper-grid
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1) || exit 1; \
+		case "$$out" in \
+			*'"correct":true,'*'"failed":0,'*) echo "perfbench-smoke $$w: ok";; \
+			*) echo "FAIL: perfbench-smoke $$w: $$out"; exit 1;; \
+		esac; \
+	done
 
 # Serving smoke: a short icgmm-serve run under the race detector, exercising
 # ingest, batched admission, a drift-triggered sync refresh, and JSONL
@@ -170,4 +185,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet build race cover bench perfbench-test serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke
+ci: fmt-check vet build race cover bench perfbench-test perfbench-smoke serve-smoke test-tenants test-shares test-spec test-cluster test-telemetry test-device test-scenario fuzz-smoke

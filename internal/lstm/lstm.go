@@ -133,13 +133,28 @@ func (n *Network) Config() Config { return n.cfg }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// cellState carries (h, c) for one layer.
-type cellState struct {
-	h, c []float64
+// Scratch is the working memory of one inference: every layer's hidden and
+// cell state plus the gate pre-activation buffer. A Network is read-only
+// during inference, so goroutines may share one as long as each owns its
+// Scratch; reusing a Scratch across inferences is what keeps inference free
+// of allocation.
+type Scratch struct {
+	h, c [][]float64 // per layer
+	pre  []float64   // 4*hidden gate pre-activations
 }
 
-func newCellState(hidden int) cellState {
-	return cellState{h: make([]float64, hidden), c: make([]float64, hidden)}
+// NewScratch allocates inference scratch shaped for the network.
+func (n *Network) NewScratch() *Scratch {
+	s := &Scratch{
+		h:   make([][]float64, len(n.layers)),
+		c:   make([][]float64, len(n.layers)),
+		pre: make([]float64, 4*n.cfg.HiddenDim),
+	}
+	for li := range n.layers {
+		s.h[li] = make([]float64, n.cfg.HiddenDim)
+		s.c[li] = make([]float64, n.cfg.HiddenDim)
+	}
+	return s
 }
 
 // stepCache stores the intermediate activations BPTT needs.
@@ -151,79 +166,127 @@ type stepCache struct {
 	tanhC      []float64
 }
 
-// step runs one layer for one timestep, optionally recording a cache.
-func (l *layer) step(x []float64, st cellState, keep bool) (cellState, *stepCache) {
-	h := l.hidden
-	pre := make([]float64, 4*h)
-	for r := 0; r < 4*h; r++ {
-		s := l.b[r]
-		wxr := l.wx[r]
+// step advances one layer by one timestep in place: h and c hold the
+// previous hidden and cell state on entry and the next on exit; pre is a
+// 4*hidden scratch buffer. When cache is non-nil it records the activations
+// BPTT needs. This is the one gate kernel inference and training share.
+func (l *layer) step(x, h, c, pre []float64, cache *stepCache) {
+	H := l.hidden
+	// Four rows at a time (4*H always divides by 4): each row keeps its own
+	// accumulator and summation order — bias, input terms, recurrent terms,
+	// each in index order — so the result is bit-identical to one row at a
+	// time, while the four independent add chains overlap in the pipeline.
+	for r := 0; r < 4*H; r += 4 {
+		s0, s1, s2, s3 := l.b[r], l.b[r+1], l.b[r+2], l.b[r+3]
+		x0, x1, x2, x3 := l.wx[r][:len(x)], l.wx[r+1][:len(x)], l.wx[r+2][:len(x)], l.wx[r+3][:len(x)]
 		for j, xv := range x {
-			s += wxr[j] * xv
+			s0 += x0[j] * xv
+			s1 += x1[j] * xv
+			s2 += x2[j] * xv
+			s3 += x3[j] * xv
 		}
-		whr := l.wh[r]
-		for j, hv := range st.h {
-			s += whr[j] * hv
+		h0, h1, h2, h3 := l.wh[r][:len(h)], l.wh[r+1][:len(h)], l.wh[r+2][:len(h)], l.wh[r+3][:len(h)]
+		for j, hv := range h {
+			s0 += h0[j] * hv
+			s1 += h1[j] * hv
+			s2 += h2[j] * hv
+			s3 += h3[j] * hv
 		}
-		pre[r] = s
+		pre[r], pre[r+1], pre[r+2], pre[r+3] = s0, s1, s2, s3
 	}
-	next := newCellState(h)
-	var cache *stepCache
-	if keep {
-		cache = &stepCache{
+	if cache != nil {
+		*cache = stepCache{
 			x: append([]float64(nil), x...),
-			i: make([]float64, h), f: make([]float64, h),
-			g: make([]float64, h), o: make([]float64, h),
-			cPrev: append([]float64(nil), st.c...),
-			hPrev: append([]float64(nil), st.h...),
-			tanhC: make([]float64, h),
+			i: make([]float64, H), f: make([]float64, H),
+			g: make([]float64, H), o: make([]float64, H),
+			cPrev: append([]float64(nil), c...),
+			hPrev: append([]float64(nil), h...),
+			tanhC: make([]float64, H),
 		}
 	}
-	for j := 0; j < h; j++ {
+	for j := 0; j < H; j++ {
 		ig := sigmoid(pre[j])
-		fg := sigmoid(pre[h+j])
-		gg := math.Tanh(pre[2*h+j])
-		og := sigmoid(pre[3*h+j])
-		c := fg*st.c[j] + ig*gg
-		tc := math.Tanh(c)
-		next.c[j] = c
-		next.h[j] = og * tc
-		if keep {
+		fg := sigmoid(pre[H+j])
+		gg := math.Tanh(pre[2*H+j])
+		og := sigmoid(pre[3*H+j])
+		cj := fg*c[j] + ig*gg
+		tc := math.Tanh(cj)
+		c[j] = cj
+		h[j] = og * tc
+		if cache != nil {
 			cache.i[j], cache.f[j], cache.g[j], cache.o[j] = ig, fg, gg, og
 			cache.tanhC[j] = tc
 		}
 	}
-	if keep {
-		cache.c = append([]float64(nil), next.c...)
-		cache.h = append([]float64(nil), next.h...)
+	if cache != nil {
+		cache.c = append([]float64(nil), c...)
+		cache.h = append([]float64(nil), h...)
 	}
-	return next, cache
 }
 
-// Forward runs a full sequence and returns the scalar prediction. seq must
-// have length cfg.SeqLen, each element length cfg.InputDim.
-func (n *Network) Forward(seq [][]float64) (float64, error) {
-	if len(seq) != n.cfg.SeqLen {
-		return 0, fmt.Errorf("lstm: sequence length %d, want %d", len(seq), n.cfg.SeqLen)
+// run feeds a sequence through the stack from zero state, xs holding
+// SeqLen inputs of InputDim values each in chronological order, and returns
+// the head's prediction. caches, when non-nil, receives every layer's
+// per-step activations (caches[layer][t]).
+func (n *Network) run(s *Scratch, xs []float64, caches [][]stepCache) float64 {
+	for li := range n.layers {
+		clear(s.h[li])
+		clear(s.c[li])
 	}
-	states := make([]cellState, len(n.layers))
-	for i := range states {
-		states[i] = newCellState(n.cfg.HiddenDim)
-	}
-	for _, x := range seq {
-		if len(x) != n.cfg.InputDim {
-			return 0, fmt.Errorf("lstm: input dim %d, want %d", len(x), n.cfg.InputDim)
-		}
-		cur := x
+	d := n.cfg.InputDim
+	for t := 0; t < n.cfg.SeqLen; t++ {
+		cur := xs[t*d : (t+1)*d]
 		for li, l := range n.layers {
-			states[li], _ = l.step(cur, states[li], false)
-			cur = states[li].h
+			var cache *stepCache
+			if caches != nil {
+				cache = &caches[li][t]
+			}
+			l.step(cur, s.h[li], s.c[li], s.pre, cache)
+			cur = s.h[li]
 		}
 	}
 	out := n.by
-	top := states[len(states)-1].h
+	top := s.h[len(n.layers)-1]
 	for j, w := range n.wy {
 		out += w * top[j]
 	}
-	return out, nil
+	return out
+}
+
+// Infer runs one sequence through the network using caller-owned scratch
+// and returns the scalar prediction. xs holds cfg.SeqLen inputs of
+// cfg.InputDim values each, flattened in chronological order; s must come
+// from this network's NewScratch. Infer allocates nothing.
+func (n *Network) Infer(s *Scratch, xs []float64) (float64, error) {
+	if len(xs) != n.cfg.SeqLen*n.cfg.InputDim {
+		return 0, fmt.Errorf("lstm: flattened sequence has %d values, want %d", len(xs), n.cfg.SeqLen*n.cfg.InputDim)
+	}
+	return n.run(s, xs, nil), nil
+}
+
+// Forward runs a full sequence and returns the scalar prediction. seq must
+// have length cfg.SeqLen, each element length cfg.InputDim. It is Infer on
+// freshly allocated scratch; callers that infer repeatedly should own a
+// Scratch and call Infer.
+func (n *Network) Forward(seq [][]float64) (float64, error) {
+	xs, err := n.flatten(seq)
+	if err != nil {
+		return 0, err
+	}
+	return n.run(n.NewScratch(), xs, nil), nil
+}
+
+// flatten checks seq's shape and lays it out the way Infer reads it.
+func (n *Network) flatten(seq [][]float64) ([]float64, error) {
+	if len(seq) != n.cfg.SeqLen {
+		return nil, fmt.Errorf("lstm: sequence length %d, want %d", len(seq), n.cfg.SeqLen)
+	}
+	xs := make([]float64, 0, n.cfg.SeqLen*n.cfg.InputDim)
+	for _, x := range seq {
+		if len(x) != n.cfg.InputDim {
+			return nil, fmt.Errorf("lstm: input dim %d, want %d", len(x), n.cfg.InputDim)
+		}
+		xs = append(xs, x...)
+	}
+	return xs, nil
 }

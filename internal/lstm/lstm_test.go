@@ -127,7 +127,11 @@ func TestGradientCheck(t *testing.T) {
 	target := 0.7
 
 	g := newGrads(n)
-	n.backward(seq, target, g)
+	xs, err := n.flatten(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.backward(xs, target, g)
 
 	loss := func() float64 {
 		p, _ := n.Forward(seq)

@@ -24,6 +24,21 @@ func newGrads(n *Network) *grads {
 	return g
 }
 
+// zero resets every gradient to 0 so one grads value serves every sample.
+func (g *grads) zero() {
+	for li := range g.wx {
+		for r := range g.wx[li] {
+			clear(g.wx[li][r])
+		}
+		for r := range g.wh[li] {
+			clear(g.wh[li][r])
+		}
+		clear(g.b[li])
+	}
+	clear(g.wy)
+	g.by = 0
+}
+
 func zerosLike(m [][]float64) [][]float64 {
 	out := make([][]float64, len(m))
 	for i := range m {
@@ -32,42 +47,24 @@ func zerosLike(m [][]float64) [][]float64 {
 	return out
 }
 
-// forwardTraining runs the sequence keeping every activation, returning the
-// prediction and the per-layer, per-step caches.
-func (n *Network) forwardTraining(seq [][]float64) (float64, [][]*stepCache) {
-	states := make([]cellState, len(n.layers))
-	for i := range states {
-		states[i] = newCellState(n.cfg.HiddenDim)
-	}
-	caches := make([][]*stepCache, len(n.layers))
+// forwardTraining runs the flattened sequence keeping every activation,
+// returning the prediction and the per-layer, per-step caches.
+func (n *Network) forwardTraining(xs []float64) (float64, [][]stepCache) {
+	caches := make([][]stepCache, len(n.layers))
 	for li := range caches {
-		caches[li] = make([]*stepCache, len(seq))
+		caches[li] = make([]stepCache, n.cfg.SeqLen)
 	}
-	for t, x := range seq {
-		cur := x
-		for li, l := range n.layers {
-			var c *stepCache
-			states[li], c = l.step(cur, states[li], true)
-			caches[li][t] = c
-			cur = states[li].h
-		}
-	}
-	out := n.by
-	top := states[len(states)-1].h
-	for j, w := range n.wy {
-		out += w * top[j]
-	}
-	return out, caches
+	return n.run(n.NewScratch(), xs, caches), caches
 }
 
 // backward accumulates gradients of 0.5*(pred-target)^2 into g and returns
 // the squared error.
-func (n *Network) backward(seq [][]float64, target float64, g *grads) float64 {
-	pred, caches := n.forwardTraining(seq)
+func (n *Network) backward(xs []float64, target float64, g *grads) float64 {
+	pred, caches := n.forwardTraining(xs)
 	diff := pred - target
 
 	h := n.cfg.HiddenDim
-	T := len(seq)
+	T := n.cfg.SeqLen
 	L := len(n.layers)
 
 	// dh[li] is the gradient flowing into layer li's hidden state at the
@@ -92,7 +89,7 @@ func (n *Network) backward(seq [][]float64, target float64, g *grads) float64 {
 	for t := T - 1; t >= 0; t-- {
 		for li := L - 1; li >= 0; li-- {
 			l := n.layers[li]
-			c := caches[li][t]
+			c := &caches[li][t]
 			dhl, dcl := dh[li], dc[li]
 			// Through h = o * tanh(c).
 			dpre := make([]float64, 4*h)
@@ -183,18 +180,25 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) (*TrainResult, error)
 	if cfg.LearningRate <= 0 || cfg.Epochs <= 0 {
 		return nil, errors.New("lstm: invalid training config")
 	}
+	flat := make([][]float64, len(samples))
 	for i, s := range samples {
 		if len(s.Seq) != n.cfg.SeqLen {
 			return nil, fmt.Errorf("lstm: sample %d has length %d, want %d", i, len(s.Seq), n.cfg.SeqLen)
 		}
+		xs, err := n.flatten(s.Seq)
+		if err != nil {
+			return nil, fmt.Errorf("lstm: sample %d: %w", i, err)
+		}
+		flat[i] = xs
 	}
 	ad := &adamState{m: newGrads(n), v: newGrads(n)}
+	g := newGrads(n)
 	res := &TrainResult{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		sse := 0.0
-		for _, s := range samples {
-			g := newGrads(n)
-			sse += n.backward(s.Seq, s.Target, g)
+		for i, s := range samples {
+			g.zero()
+			sse += n.backward(flat[i], s.Target, g)
 			clip(g, cfg.ClipNorm)
 			ad.t++
 			n.applyAdam(g, ad, cfg.LearningRate)

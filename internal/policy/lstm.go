@@ -26,10 +26,13 @@ type LSTMPolicy struct {
 	evict     bool // use predictions for eviction
 	admit     bool // use predictions for admission
 
-	window  [][]float64 // ring of the last SeqLen inputs
+	// window is a flat ring of the last SeqLen (page, timestamp) inputs,
+	// lstmInputDim values each; wpos is the next slot to overwrite.
+	window  []float64
 	wpos    int
 	wcount  int
-	seqBuf  [][]float64
+	seq     []float64     // the window in chronological order, Infer's input
+	scratch *lstm.Scratch // this policy's inference state; the net is shared
 	scores  [][]float64
 	lastUse [][]uint64
 
@@ -57,24 +60,28 @@ type LSTMPolicyConfig struct {
 	Admission, Eviction bool
 }
 
-// NewLSTMPolicy builds the adapter.
+// lstmInputDim is the width of one window input: (page, timestamp).
+const lstmInputDim = 2
+
+// NewLSTMPolicy builds the adapter. The policy reads the network but never
+// writes it, so policies on concurrently drained partitions may share one.
 func NewLSTMPolicy(cfg LSTMPolicyConfig) *LSTMPolicy {
 	seqLen := cfg.Net.Config().SeqLen
-	p := &LSTMPolicy{
+	return &LSTMPolicy{
 		net:       cfg.Net,
 		norm:      cfg.Normalizer,
 		tt:        trace.NewTimestampTransformer(cfg.Transform),
 		threshold: cfg.Threshold,
 		admit:     cfg.Admission,
 		evict:     cfg.Eviction,
-		window:    make([][]float64, seqLen),
-		seqBuf:    make([][]float64, seqLen),
+		window:    make([]float64, seqLen*lstmInputDim),
+		seq:       make([]float64, seqLen*lstmInputDim),
+		scratch:   cfg.Net.NewScratch(),
 	}
-	for i := range p.window {
-		p.window[i] = []float64{0, 0}
-	}
-	return p
 }
+
+// seqLen is the window length in inputs, the network's sequence length.
+func (p *LSTMPolicy) seqLen() int { return len(p.window) / lstmInputDim }
 
 // Name implements cache.Policy.
 func (p *LSTMPolicy) Name() string { return "lstm" }
@@ -94,9 +101,10 @@ func (p *LSTMPolicy) Attach(numSets, ways int) {
 func (p *LSTMPolicy) OnAccess(req cache.Request) {
 	p.curTime = p.tt.Next()
 	np, nt := p.norm.ApplyPageTime(req.Page, p.curTime)
-	p.window[p.wpos] = []float64{np, nt}
-	p.wpos = (p.wpos + 1) % len(p.window)
-	if p.wcount < len(p.window) {
+	slot := p.window[p.wpos*lstmInputDim:]
+	slot[0], slot[1] = np, nt
+	p.wpos = (p.wpos + 1) % p.seqLen()
+	if p.wcount < p.seqLen() {
 		p.wcount++
 	}
 	p.curValid = false
@@ -107,12 +115,10 @@ func (p *LSTMPolicy) score() float64 {
 	if p.curValid {
 		return p.curScore
 	}
-	// Assemble the window in chronological order.
-	n := len(p.window)
-	for i := 0; i < n; i++ {
-		p.seqBuf[i] = p.window[(p.wpos+i)%n]
-	}
-	out, err := p.net.Forward(p.seqBuf)
+	// Assemble the window in chronological order: oldest slot first.
+	k := copy(p.seq, p.window[p.wpos*lstmInputDim:])
+	copy(p.seq[k:], p.window)
+	out, err := p.net.Infer(p.scratch, p.seq)
 	if err != nil {
 		out = 0
 	}
@@ -192,7 +198,7 @@ type LSTMPolicyState struct {
 // State exports the policy's mutable state.
 func (p *LSTMPolicy) State() LSTMPolicyState {
 	s := LSTMPolicyState{
-		Window:     make([][]float64, len(p.window)),
+		Window:     make([][]float64, p.seqLen()),
 		WPos:       p.wpos,
 		WCount:     p.wcount,
 		Scores:     make([][]float64, len(p.scores)),
@@ -203,8 +209,8 @@ func (p *LSTMPolicy) State() LSTMPolicyState {
 		Inferences: p.Inferences,
 	}
 	s.ClockTimestamp, s.ClockIndex = p.tt.State()
-	for i := range p.window {
-		s.Window[i] = append([]float64(nil), p.window[i]...)
+	for i := range s.Window {
+		s.Window[i] = append([]float64(nil), p.window[i*lstmInputDim:(i+1)*lstmInputDim]...)
 	}
 	for i := range p.scores {
 		s.Scores[i] = append([]float64(nil), p.scores[i]...)
@@ -219,17 +225,17 @@ func (p *LSTMPolicy) State() LSTMPolicyState {
 // have been built with the same network shape and attached to the same cache
 // geometry as the exporter.
 func (p *LSTMPolicy) RestoreState(s LSTMPolicyState) error {
-	if len(s.Window) != len(p.window) {
-		return fmt.Errorf("policy: lstm state window length %d, want %d", len(s.Window), len(p.window))
+	seqLen := p.seqLen()
+	if len(s.Window) != seqLen {
+		return fmt.Errorf("policy: lstm state window length %d, want %d", len(s.Window), seqLen)
 	}
-	in := p.net.Config().InputDim
 	for i, row := range s.Window {
-		if len(row) != in {
-			return fmt.Errorf("policy: lstm state window row %d has %d dims, want %d", i, len(row), in)
+		if len(row) != lstmInputDim {
+			return fmt.Errorf("policy: lstm state window row %d has %d dims, want %d", i, len(row), lstmInputDim)
 		}
 	}
-	if s.WPos < 0 || s.WPos >= len(p.window) || s.WCount < 0 || s.WCount > len(p.window) {
-		return fmt.Errorf("policy: lstm state window cursor (%d, %d) outside ring of %d", s.WPos, s.WCount, len(p.window))
+	if s.WPos < 0 || s.WPos >= seqLen || s.WCount < 0 || s.WCount > seqLen {
+		return fmt.Errorf("policy: lstm state window cursor (%d, %d) outside ring of %d", s.WPos, s.WCount, seqLen)
 	}
 	if len(s.Scores) != len(p.scores) || len(s.LastUse) != len(p.lastUse) {
 		return fmt.Errorf("policy: lstm state has %d/%d sets, policy has %d", len(s.Scores), len(s.LastUse), len(p.scores))
@@ -242,8 +248,8 @@ func (p *LSTMPolicy) RestoreState(s LSTMPolicyState) error {
 	if err := p.tt.RestoreState(s.ClockTimestamp, s.ClockIndex); err != nil {
 		return err
 	}
-	for i := range s.Window {
-		p.window[i] = append([]float64(nil), s.Window[i]...)
+	for i, row := range s.Window {
+		copy(p.window[i*lstmInputDim:], row)
 	}
 	for i := range s.Scores {
 		copy(p.scores[i], s.Scores[i])

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cache"
@@ -145,5 +146,99 @@ func TestTrainLSTMOnTrace(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLSTMPolicySteadyStateAllocs: once attached, a miss-path access —
+// OnAccess, the admission inference and the eviction-key insert — allocates
+// nothing: the window is a flat ring and inference runs on the policy's own
+// scratch.
+func TestLSTMPolicySteadyStateAllocs(t *testing.T) {
+	p := newTestLSTMPolicy(t, true, true, 0)
+	p.Attach(4, 4)
+	var i uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		req := cache.Request{Page: i * 7919 % 1024, Write: i%3 == 0, Seq: i}
+		p.OnAccess(req)
+		p.Admit(req)
+		p.OnInsert(int(i%4), int(i/4%4), req)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state access allocates %v times, want 0", allocs)
+	}
+	if p.Inferences == 0 {
+		t.Fatal("no inference ran")
+	}
+}
+
+// TestLSTMPolicyScoresAndStateRoundTrip: every score equals Forward over the
+// window in chronological order (oldest input first, zero rows before the
+// window fills), and a policy restored from a JSON round trip of its state —
+// which keeps the [][]float64 window shape — scores the rest of the stream
+// identically.
+func TestLSTMPolicyScoresAndStateRoundTrip(t *testing.T) {
+	net := tinyLSTM(t)
+	norm := trace.Normalizer{PageScale: 1e-3, TimeScale: 1e-2}
+	tcfg := trace.TransformConfig{LenWindow: 3, LenAccessShot: 50}
+	mk := func() *LSTMPolicy {
+		p := NewLSTMPolicy(LSTMPolicyConfig{Net: net, Normalizer: norm, Transform: tcfg, Admission: true, Eviction: true})
+		p.Attach(4, 4)
+		return p
+	}
+	seqLen := net.Config().SeqLen
+	tt := trace.NewTimestampTransformer(tcfg)
+	var inputs [][]float64
+	ref := mk()
+	var restored *LSTMPolicy
+	for i := uint64(0); i < 40; i++ {
+		req := cache.Request{Page: i * 31 % 97, Seq: i}
+		np, nt := norm.ApplyPageTime(req.Page, tt.Next())
+		inputs = append(inputs, []float64{np, nt})
+		ref.OnAccess(req)
+		window := make([][]float64, seqLen)
+		for k := range window {
+			if j := len(inputs) - seqLen + k; j >= 0 {
+				window[k] = inputs[j]
+			} else {
+				window[k] = []float64{0, 0}
+			}
+		}
+		want, err := net.Forward(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ref.score(); got != want {
+			t.Fatalf("access %d: score %v, Forward over the window %v", i, got, want)
+		}
+		if restored != nil {
+			restored.OnAccess(req)
+			if got := restored.score(); got != want {
+				t.Fatalf("access %d: restored policy scores %v, want %v", i, got, want)
+			}
+		}
+		if i == 6 {
+			doc, err := json.Marshal(ref.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw struct{ Window [][]float64 }
+			if err := json.Unmarshal(doc, &raw); err != nil || len(raw.Window) != seqLen || len(raw.Window[0]) != 2 {
+				t.Fatalf("state window lost its [][]float64 shape: %s", doc)
+			}
+			var st LSTMPolicyState
+			if err := json.Unmarshal(doc, &st); err != nil {
+				t.Fatal(err)
+			}
+			restored = mk()
+			if err := restored.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bad := ref.State()
+	bad.Window[1] = []float64{1, 2, 3}
+	if err := mk().RestoreState(bad); err == nil {
+		t.Error("window row of the wrong width accepted")
 	}
 }

@@ -34,7 +34,8 @@ const (
 	// amp*sin(2π*(b-start)/period)), recomputed at every batch boundary.
 	KindDiurnal = "diurnal"
 	// KindPhase swaps the tenant's workload generator to a named benchmark
-	// from the registry; the in-flight trace segment is regenerated in place.
+	// from the registry; the in-flight segment's stream is rebuilt in place
+	// from the new generator at the same cursor.
 	KindPhase = "phase"
 )
 

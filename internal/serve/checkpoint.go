@@ -268,7 +268,7 @@ func Resume(r io.Reader, metrics io.Writer) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := openWithBundle(doc.Spec, metrics, bundle)
+	sess, err := openWithBundle(doc.Spec, metrics, bundle, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -281,9 +281,9 @@ func Resume(r io.Reader, metrics io.Writer) (*Session, error) {
 			return nil, errors.New("serve: checkpoint carries a mux source but the spec is single-stream")
 		}
 		// Replay the scenario timeline's already-applied prefix before the
-		// mux cursor lands: restoring an open-loop stream regenerates its
-		// in-flight trace segment from the current generator, so phase swaps
-		// (and rates, which are not part of the stream state) must be
+		// mux cursor lands: restoring an open-loop stream rebuilds its
+		// in-flight segment's stream from the current generator, so phase
+		// swaps (and rates, which are not part of the stream state) must be
 		// re-derived first.
 		if err := sess.replayScenario(); err != nil {
 			return nil, err

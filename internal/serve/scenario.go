@@ -267,7 +267,7 @@ func (s *Session) rebalanceShares(ev scenario.Event, churned int) {
 // session has already applied, re-deriving the configuration effects (active
 // flags, rates, diurnal profiles, generator swaps) without re-running
 // rebalances or re-emitting records. It must run before the mux's cursor is
-// restored: OpenLoop.RestoreState regenerates the in-flight trace segment
+// restored: OpenLoop.RestoreState rebuilds the in-flight segment's stream
 // from the generator current at restore time, so phase swaps have to land
 // first.
 func (s *Session) replayScenario() error {

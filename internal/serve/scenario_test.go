@@ -394,3 +394,41 @@ func TestClosedLoopFeedback(t *testing.T) {
 		t.Errorf("closed-loop arrival mix barely moved: open=%.3f closed=%.3f", openFrac, closedFrac)
 	}
 }
+
+// TestShadowConcurrentPartitionDrain runs the shadow policy with every
+// partition on its own shard, so the partitions' shadow policies infer on
+// the one shared network concurrently (each on its own scratch; under the
+// race detector this is the check that inference never writes the network).
+// The stream must equal the serial shards=1 run byte for byte, and every
+// tenant's traffic must reach the shadow.
+func TestShadowConcurrentPartitionDrain(t *testing.T) {
+	t.Parallel()
+	run := func(shards int) ([]byte, *serve.Snapshot) {
+		spec := scenarioSpec(t, shards)
+		spec.Ops = 16 * 1024
+		spec.Scenario = nil
+		var out bytes.Buffer
+		sess, err := serve.Open(spec, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes(), snap
+	}
+	serial, serialSnap := run(1)
+	parallel, parallelSnap := run(8)
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("shards=8 shadow stream diverges from shards=1 (%d vs %d bytes)", len(parallel), len(serial))
+	}
+	if !reflect.DeepEqual(serialSnap, parallelSnap) {
+		t.Error("shards=8 final snapshot differs from shards=1")
+	}
+	for _, ts := range parallelSnap.Tenants {
+		if ts.ShadowOps == 0 {
+			t.Errorf("tenant %s: no traffic reached the shadow", ts.Tenant)
+		}
+	}
+}

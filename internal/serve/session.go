@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/scenario"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -46,9 +47,11 @@ type Session struct {
 	ckptPending bool
 
 	// Periodic checkpoint hook (CheckpointEvery): every ckptEvery batches,
-	// Step captures the full checkpoint document and hands it to ckptFn.
+	// Step encodes the full checkpoint document into ckptBuf, reused from
+	// one checkpoint to the next, and hands its bytes to ckptFn.
 	ckptEvery uint64
 	ckptFn    func(doc []byte) error
+	ckptBuf   bytes.Buffer
 
 	// Scenario runtime (tenant runs only): the event-timeline cursor, the
 	// tenant name index, per-tenant diurnal profiles, and — under clients
@@ -66,23 +69,38 @@ type Session struct {
 // records stream to metrics (nil discards them; the spec's Output field is a
 // sink *name* for loaders to resolve, not resolved here).
 func Open(spec Spec, metrics io.Writer) (*Session, error) {
-	bundle, err := TrainBundleFromSpec(spec)
+	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
 	}
-	return openWithBundle(spec, metrics, bundle)
+	warm, err := spec.warmTrace()
+	if err != nil {
+		return nil, err
+	}
+	bundle, err := TrainBundle(warm, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return openWithBundle(spec, metrics, bundle, warm)
 }
 
 // openWithBundle builds the session around an existing scoring bundle — the
-// shared tail of Open (freshly trained) and Resume (restored).
-func openWithBundle(spec Spec, metrics io.Writer, b *Bundle) (*Session, error) {
+// shared tail of Open (freshly trained) and Resume (restored). warm is the
+// spec's warm-up trace when the caller already built it (Open trains the
+// bundle on it); nil makes the shadow, if any, build its own.
+func openWithBundle(spec Spec, metrics io.Writer, b *Bundle, warm trace.Trace) (*Session, error) {
 	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
 	}
 	cfg.Metrics = metrics
 	if spec.Shadow != nil {
-		sb, err := trainShadowBundle(spec, cfg)
+		if warm == nil {
+			if warm, err = spec.warmTrace(); err != nil {
+				return nil, err
+			}
+		}
+		sb, err := trainShadowBundle(spec, cfg, warm)
 		if err != nil {
 			return nil, err
 		}
@@ -147,11 +165,11 @@ func (s *Session) Step(n int) (int, error) {
 		s.feedbackLatency()
 		steps++
 		if s.ckptEvery > 0 && s.svc.batches%s.ckptEvery == 0 {
-			var buf bytes.Buffer
-			if err := s.checkpointTo(&buf); err != nil {
+			s.ckptBuf.Reset()
+			if err := s.checkpointTo(&s.ckptBuf); err != nil {
 				return steps, err
 			}
-			if err := s.ckptFn(buf.Bytes()); err != nil {
+			if err := s.ckptFn(s.ckptBuf.Bytes()); err != nil {
 				return steps, err
 			}
 		}
@@ -166,6 +184,10 @@ func (s *Session) Step(n int) (int, error) {
 // the checkpoint cadence itself; it does not arm the Close-after-Checkpoint
 // guard, since the session demonstrably keeps running. every = 0 removes
 // the hook. A non-nil error from fn aborts the Step that triggered it.
+//
+// doc is valid only for the duration of fn: the session encodes every
+// periodic checkpoint into the same buffer, so fn must copy the bytes it
+// keeps.
 func (s *Session) CheckpointEvery(every uint64, fn func(doc []byte) error) {
 	if every > 0 && fn == nil {
 		panic("serve: CheckpointEvery requires a callback")

@@ -112,9 +112,9 @@ func (sh ShadowSpec) effDivergence() float64 {
 }
 
 // ShadowBundle is the trained shadow scoring state: one network shared by
-// every partition's shadow policy (Forward allocates its cell state per
-// call, so concurrent partition drains are safe) plus the normalizer fitted
-// with it. Weights are never checkpointed — training is deterministic from
+// every partition's shadow policy (inference only reads it; each policy
+// owns its cell-state scratch, so concurrent partition drains are safe)
+// plus the normalizer fitted with it. Weights are never checkpointed — training is deterministic from
 // the spec, so Open and Resume both rebuild the identical bundle.
 type ShadowBundle struct {
 	Net        *lstm.Network
@@ -123,8 +123,8 @@ type ShadowBundle struct {
 	Divergence float64
 }
 
-// trainShadowBundle trains the spec's shadow network on the warm-up trace.
-func trainShadowBundle(spec Spec, cfg Config) (*ShadowBundle, error) {
+// trainShadowBundle trains the spec's shadow network on its warm-up trace.
+func trainShadowBundle(spec Spec, cfg Config, warm trace.Trace) (*ShadowBundle, error) {
 	sh := spec.Shadow
 	net, err := lstm.New(lstm.Config{
 		InputDim:  2,
@@ -134,10 +134,6 @@ func trainShadowBundle(spec Spec, cfg Config) (*ShadowBundle, error) {
 	}, sh.effSeed(spec.trainSeed()))
 	if err != nil {
 		return nil, fmt.Errorf("serve: shadow network: %w", err)
-	}
-	warm, err := spec.warmTrace()
-	if err != nil {
-		return nil, err
 	}
 	if _, norm, err := policy.TrainLSTMOnTrace(net, warm, cfg.Transform, sh.effMaxExamples(), sh.effEpochs()); err != nil {
 		return nil, fmt.Errorf("serve: shadow training: %w", err)

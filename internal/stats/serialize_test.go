@@ -108,3 +108,44 @@ func TestAccumulatorWelfordStateRoundTrip(t *testing.T) {
 		t.Error("welford statistics diverged")
 	}
 }
+
+// TestHistogramStateMarshalMatchesReflection: HistogramState's hand-written
+// encoder emits exactly the bytes encoding/json's reflection emits for the
+// same fields — for empty states, histograms whose buckets span one- to
+// four-digit indices, and maps with keys no histogram produces.
+func TestHistogramStateMarshalMatchesReflection(t *testing.T) {
+	t.Parallel()
+	type reflected struct {
+		Acc    AccumulatorState `json:"acc"`
+		Counts map[int]uint64   `json:"counts,omitempty"`
+	}
+	check := func(name string, s HistogramState) {
+		t.Helper()
+		got, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(reflected(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: encoded\n%s\nreflection encodes\n%s", name, got, want)
+		}
+	}
+	check("zero", HistogramState{})
+	check("empty map", HistogramState{Counts: map[int]uint64{}})
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		h := DefaultLatencyHistogram()
+		for i := 0; i < 2000; i++ {
+			// Log-uniform over 1 ns .. 2^42 ns: every bucket range from
+			// the exact low buckets to the top one.
+			h.Observe(int64(math.Exp2(rng.Float64() * 42)))
+		}
+		check("observed", h.State())
+	}
+	check("foreign keys", HistogramState{Acc: AccumulatorState{Sum: -5, Count: 10, Min: -9, Max: 4}, Counts: map[int]uint64{
+		-12: 1, -3: 2, 0: 3, 7: 4, 10: 5, 99: 6, topBucket: 7, topBucket + 1: 8, 123456789: 9, math.MinInt64: 10,
+	}})
+}

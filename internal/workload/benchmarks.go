@@ -60,14 +60,43 @@ type mixConfig struct {
 	writeFrac float64
 }
 
-// generate runs the mixture machine.
-func (m mixConfig) generate(n int, seed int64) trace.Trace {
+// Name implements Generator.
+func (m *mixConfig) Name() string { return m.name }
+
+// Generate implements Generator: the first n records of the seed's stream.
+func (m *mixConfig) Generate(n int, seed int64) trace.Trace {
+	s := m.stream(seed)
+	tr := make(trace.Trace, n)
+	for i := range tr {
+		tr[i] = s.next()
+	}
+	return tr
+}
+
+// mixStream is the mixture machine in pull form: one seed's unbounded record
+// sequence, produced a record at a time so a consumer holds only the cursor,
+// never a materialized trace.
+type mixStream struct {
+	m    *mixConfig
+	rng  *rand.Rand
+	ps   phaseSchedule
+	cdfs [][]float64 // per-phase cluster sampling CDFs
+	tail *zipfPages  // nil for a uniform tail
+
+	i         uint64 // records produced so far
+	scanPos   uint64
+	curPage   uint64
+	repeat    int
+	burstLeft int
+}
+
+// stream starts the mixture machine for a seed.
+func (m *mixConfig) stream(seed int64) *mixStream {
 	rng := rand.New(rand.NewSource(seed))
-	tr := make(trace.Trace, 0, n)
-	ps := newPhaseSchedule(m.phaseLen, len(m.phaseWeights))
+	s := &mixStream{m: m, rng: rng, ps: *newPhaseSchedule(m.phaseLen, len(m.phaseWeights))}
 
 	// Normalize phase weights into sampling CDFs.
-	cdfs := make([][]float64, len(m.phaseWeights))
+	s.cdfs = make([][]float64, len(m.phaseWeights))
 	for p, ws := range m.phaseWeights {
 		cdf := make([]float64, len(ws))
 		sum := 0.0
@@ -79,63 +108,62 @@ func (m mixConfig) generate(n int, seed int64) trace.Trace {
 			acc += w / sum
 			cdf[i] = acc
 		}
-		cdfs[p] = cdf
+		s.cdfs[p] = cdf
 	}
-
-	var tail *zipfPages
 	if m.tailZipfS > 0 {
-		tail = newZipfPages(rng, 0, m.totalPages, m.tailZipfS, true)
+		s.tail = newZipfPages(rng, 0, m.totalPages, m.tailZipfS, true)
 	}
+	return s
+}
 
-	var scanPos uint64
-	repeat := 0
-	burstLeft := 0
-	var curPage uint64
-	for len(tr) < n {
-		phase := ps.next()
-		if m.burstEvery > 0 && len(tr) > 0 && len(tr)%m.burstEvery == 0 {
-			burstLeft = m.burstLen
-		}
-		switch {
-		case burstLeft > 0:
-			burstLeft--
-			repeat = 0
-			scanPos = (scanPos + m.scanStride) % m.totalPages
-			curPage = scanPos
-		case repeat > 0:
-			repeat--
-		default:
-			r := rng.Float64()
-			switch {
-			case r < m.scanFrac:
-				scanPos = (scanPos + m.scanStride) % m.totalPages
-				curPage = scanPos
-			case r < m.scanFrac+m.tailFrac:
-				if tail != nil {
-					curPage = tail.sample()
-				} else {
-					curPage = uint64(rng.Int63n(int64(m.totalPages)))
-				}
-			default:
-				cdf := cdfs[phase]
-				u := rng.Float64()
-				ci := len(cdf) - 1
-				for i, c := range cdf {
-					if u <= c {
-						ci = i
-						break
-					}
-				}
-				curPage = m.clusters[ci].sample(rng, m.totalPages-1)
-			}
-			if m.pageRepeat > 1 {
-				repeat = m.pageRepeat - 1
-			}
-		}
-		tr = append(tr, pageRecord(rng, curPage, rng.Float64() < m.writeFrac))
+// next produces the stream's next record, its Time stamped with the record's
+// index in the stream.
+func (s *mixStream) next() trace.Record {
+	m, rng := s.m, s.rng
+	phase := s.ps.next()
+	if m.burstEvery > 0 && s.i > 0 && s.i%uint64(m.burstEvery) == 0 {
+		s.burstLeft = m.burstLen
 	}
-	tr.Stamp()
-	return tr
+	switch {
+	case s.burstLeft > 0:
+		s.burstLeft--
+		s.repeat = 0
+		s.scanPos = (s.scanPos + m.scanStride) % m.totalPages
+		s.curPage = s.scanPos
+	case s.repeat > 0:
+		s.repeat--
+	default:
+		r := rng.Float64()
+		switch {
+		case r < m.scanFrac:
+			s.scanPos = (s.scanPos + m.scanStride) % m.totalPages
+			s.curPage = s.scanPos
+		case r < m.scanFrac+m.tailFrac:
+			if s.tail != nil {
+				s.curPage = s.tail.sample()
+			} else {
+				s.curPage = uint64(rng.Int63n(int64(m.totalPages)))
+			}
+		default:
+			cdf := s.cdfs[phase]
+			u := rng.Float64()
+			ci := len(cdf) - 1
+			for i, c := range cdf {
+				if u <= c {
+					ci = i
+					break
+				}
+			}
+			s.curPage = m.clusters[ci].sample(rng, m.totalPages-1)
+		}
+		if m.pageRepeat > 1 {
+			s.repeat = m.pageRepeat - 1
+		}
+	}
+	rec := pageRecord(rng, s.curPage, rng.Float64() < m.writeFrac)
+	rec.Time = s.i
+	s.i++
+	return rec
 }
 
 // spreadClusters places k clusters evenly through the footprint with the
@@ -191,12 +219,12 @@ func uniformWeights(phases, clusters int) [][]float64 {
 // over, with a light strided scan (data loading). The Fig. 6 target is a
 // low LRU miss rate (~1.5%) where GMM's smart eviction protects the hot
 // regions from scan pollution.
-type Parsec struct{ cfg mixConfig }
+type Parsec struct{ mixConfig }
 
 // NewParsec returns the default parsec configuration.
 func NewParsec() *Parsec {
 	total := uint64(1 << 16) // 256 MiB footprint
-	return &Parsec{cfg: mixConfig{
+	return &Parsec{mixConfig{
 		name:         "parsec",
 		totalPages:   total,
 		clusters:     spreadClusters(6, total/3, 540), // hot regions in the low third
@@ -212,21 +240,15 @@ func NewParsec() *Parsec {
 	}}
 }
 
-// Name implements Generator.
-func (p *Parsec) Name() string { return "parsec" }
-
-// Generate implements Generator.
-func (p *Parsec) Generate(n int, seed int64) trace.Trace { return p.cfg.generate(n, seed) }
-
 // Memtier models a memtier_benchmark-driven key-value store: most traffic
 // on popular key clusters, a Zipf long tail over the keyspace, and expiry
 // sweeps.
-type Memtier struct{ cfg mixConfig }
+type Memtier struct{ mixConfig }
 
 // NewMemtier returns the default memtier configuration.
 func NewMemtier() *Memtier {
 	total := uint64(1 << 17) // 512 MiB keyspace
-	return &Memtier{cfg: mixConfig{
+	return &Memtier{mixConfig{
 		name:         "memtier",
 		totalPages:   total,
 		clusters:     spreadClusters(8, total/6, 560),
@@ -242,21 +264,15 @@ func NewMemtier() *Memtier {
 	}}
 }
 
-// Name implements Generator.
-func (m *Memtier) Name() string { return "memtier" }
-
-// Generate implements Generator.
-func (m *Memtier) Generate(n int, seed int64) trace.Trace { return m.cfg.generate(n, seed) }
-
 // Hashmap models the synthetic hashmap benchmark of the CXL-SSD study:
 // bucket lookups concentrated on hash-chain islands plus uniform probe
 // noise and occasional rehash bursts sweeping the table.
-type Hashmap struct{ cfg mixConfig }
+type Hashmap struct{ mixConfig }
 
 // NewHashmap returns the default hashmap configuration.
 func NewHashmap() *Hashmap {
 	total := uint64(1 << 16) // 256 MiB table
-	return &Hashmap{cfg: mixConfig{
+	return &Hashmap{mixConfig{
 		name:         "hashmap",
 		totalPages:   total,
 		clusters:     spreadClusters(8, total/4, 480),
@@ -272,21 +288,15 @@ func NewHashmap() *Hashmap {
 	}}
 }
 
-// Name implements Generator.
-func (h *Hashmap) Name() string { return "hashmap" }
-
-// Generate implements Generator.
-func (h *Hashmap) Generate(n int, seed int64) trace.Trace { return h.cfg.generate(n, seed) }
-
 // Heap models the synthetic heap benchmark: allocator generations at fixed
 // arena offsets whose activity rotates with allocation phases, plus GC-style
 // mark sweeps over the arena.
-type Heap struct{ cfg mixConfig }
+type Heap struct{ mixConfig }
 
 // NewHeap returns the default heap configuration.
 func NewHeap() *Heap {
 	total := uint64(1 << 16) // 256 MiB arena
-	return &Heap{cfg: mixConfig{
+	return &Heap{mixConfig{
 		name:         "heap",
 		totalPages:   total,
 		clusters:     spreadClusters(6, total/3, 560),
@@ -302,20 +312,14 @@ func NewHeap() *Heap {
 	}}
 }
 
-// Name implements Generator.
-func (h *Heap) Name() string { return "heap" }
-
-// Generate implements Generator.
-func (h *Heap) Generate(n int, seed int64) trace.Trace { return h.cfg.generate(n, seed) }
-
 // Sysbench models sysbench OLTP: hot B-tree index clusters, a Zipf row
 // tail over a large table, and reporting-query scans.
-type Sysbench struct{ cfg mixConfig }
+type Sysbench struct{ mixConfig }
 
 // NewSysbench returns the default sysbench configuration.
 func NewSysbench() *Sysbench {
 	total := uint64(1 << 17) // 512 MiB of rows + index
-	return &Sysbench{cfg: mixConfig{
+	return &Sysbench{mixConfig{
 		name:         "sysbench",
 		totalPages:   total,
 		clusters:     spreadClusters(6, total/8, 640),
@@ -331,23 +335,17 @@ func NewSysbench() *Sysbench {
 	}}
 }
 
-// Name implements Generator.
-func (s *Sysbench) Name() string { return "sysbench" }
-
-// Generate implements Generator.
-func (s *Sysbench) Generate(n int, seed int64) trace.Trace { return s.cfg.generate(n, seed) }
-
 // Stream models the STREAM triad kernel: hot control/reduction pages plus
 // long sequential sweeps over three arrays larger than the cache. The
 // sweeps give the high baseline miss rate (~13% under LRU in Fig. 6); the
 // GMM wins by refusing to let one-pass array pages displace the control
 // set.
-type Stream struct{ cfg mixConfig }
+type Stream struct{ mixConfig }
 
 // NewStream returns the default stream configuration.
 func NewStream() *Stream {
 	total := uint64(56 << 10) // 224 MiB: control region + three arrays
-	return &Stream{cfg: mixConfig{
+	return &Stream{mixConfig{
 		name:       "stream",
 		totalPages: total,
 		// Control region: accumulators, loop state, lookup tables.
@@ -364,22 +362,16 @@ func NewStream() *Stream {
 	}}
 }
 
-// Name implements Generator.
-func (s *Stream) Name() string { return "stream" }
-
-// Generate implements Generator.
-func (s *Stream) Generate(n int, seed int64) trace.Trace { return s.cfg.generate(n, seed) }
-
 // DLRM models recommendation-inference embedding gathers: per-table popular
 // rows (stationary clusters, intensity shifting with traffic mix) over a
 // footprint far larger than the cache, plus a heavy Zipf tail of cold rows
 // — the structure behind dlrm's ~37% LRU miss rate in Fig. 6.
-type DLRM struct{ cfg mixConfig }
+type DLRM struct{ mixConfig }
 
 // NewDLRM returns the default dlrm configuration.
 func NewDLRM() *DLRM {
 	total := uint64(1 << 18) // 1 GiB of embedding tables
-	return &DLRM{cfg: mixConfig{
+	return &DLRM{mixConfig{
 		name:         "dlrm",
 		totalPages:   total,
 		clusters:     spreadClusters(8, total, 750),
@@ -392,9 +384,3 @@ func NewDLRM() *DLRM {
 		writeFrac:    0.02,
 	}}
 }
-
-// Name implements Generator.
-func (d *DLRM) Name() string { return "dlrm" }
-
-// Generate implements Generator.
-func (d *DLRM) Generate(n int, seed int64) trace.Trace { return d.cfg.generate(n, seed) }

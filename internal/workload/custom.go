@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"errors"
-
-	"repro/internal/trace"
-)
+import "errors"
 
 // Custom lets library users compose their own benchmark from the same
 // building blocks the seven paper workloads use: stationary Gaussian
@@ -12,7 +8,7 @@ import (
 // and periodic scan bursts. It is the public face of the internal mixture
 // machine.
 type Custom struct {
-	cfg mixConfig
+	mixConfig
 }
 
 // CustomConfig describes a custom workload.
@@ -109,7 +105,7 @@ func NewCustom(cfg CustomConfig) (*Custom, error) {
 	if repeat <= 0 {
 		repeat = 1
 	}
-	return &Custom{cfg: mixConfig{
+	return &Custom{mixConfig{
 		name:         cfg.Name,
 		totalPages:   cfg.TotalPages,
 		clusters:     clusters,
@@ -125,9 +121,3 @@ func NewCustom(cfg CustomConfig) (*Custom, error) {
 		writeFrac:    cfg.WriteFrac,
 	}}, nil
 }
-
-// Name implements Generator.
-func (c *Custom) Name() string { return c.cfg.name }
-
-// Generate implements Generator.
-func (c *Custom) Generate(n int, seed int64) trace.Trace { return c.cfg.generate(n, seed) }

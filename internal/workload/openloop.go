@@ -26,9 +26,10 @@ type OpenLoopConfig struct {
 	// BurstPeriod is the modulation period in requests (default 100000).
 	BurstPeriod int
 	// SegmentLen is how many records are drawn from the generator per
-	// segment (default 65536). Each segment uses a seed derived from
-	// (Seed, segment index), so the stream is reproducible and unbounded
-	// without materializing one giant trace.
+	// segment (default 65536). Each segment is the first SegmentLen records
+	// of the generator's stream for a seed derived from (Seed, segment
+	// index), so the stream is reproducible and unbounded; records are
+	// pulled one at a time, and no segment is ever materialized.
 	SegmentLen int
 	// Seed drives segment seed derivation.
 	Seed int64
@@ -57,15 +58,18 @@ type OpenLoop struct {
 	g   Generator
 	cfg OpenLoopConfig
 
-	buf     trace.Trace // current segment
+	// src is the in-flight segment's generator stream, positioned after its
+	// first pos records; nil before the first segment and whenever the
+	// segment is used up.
+	src     *mixStream
 	pos     int
-	seg     uint64
+	seg     uint64 // segments started; the in-flight one is seg-1
 	emitted uint64
 	clockNs float64
 	shifted bool
-	// bufShifted records whether the current segment was drawn from ShiftTo
-	// rather than the base generator — the one bit State needs to regenerate
-	// the segment from the right source on restore.
+	// bufShifted records whether the in-flight segment is drawn from
+	// ShiftTo rather than the base generator — the one bit State needs to
+	// rebuild the segment's stream from the right source on restore.
 	bufShifted bool
 }
 
@@ -102,17 +106,28 @@ func (ol *OpenLoop) Rate() float64 { return ol.cfg.RatePerSec }
 func (ol *OpenLoop) SetRate(r float64) { ol.cfg.RatePerSec = r }
 
 // SetGenerator swaps the stream's trace generator — the scenario engine's
-// workload-phase event. The in-flight segment is regenerated in place from
-// the new generator (same derived seed, same cursor), so the swap takes
-// effect at the very next record and a resumed stream, which regenerates its
-// segment from the post-swap generator, stays bit-identical. The swap is
-// skipped while a ShiftTo segment is live: phase events and working-set
-// shifts are mutually exclusive per stream (the spec validates this).
+// workload-phase event. The in-flight segment's stream is rebuilt from the
+// new generator (same derived seed, same cursor), so the swap takes effect
+// at the very next record and a resumed stream, which rebuilds its segment
+// from the post-swap generator, stays bit-identical. The in-flight segment
+// keeps its generator while a ShiftTo segment is live: phase events and
+// working-set shifts are mutually exclusive per stream (the spec validates
+// this).
 func (ol *OpenLoop) SetGenerator(g Generator) {
 	ol.g = g
-	if len(ol.buf) > 0 && !ol.bufShifted {
-		ol.buf = g.Generate(ol.cfg.SegmentLen, engine.DeriveSeed(ol.cfg.Seed, ol.seg-1))
+	if ol.src != nil && !ol.bufShifted {
+		ol.src = ol.segmentStream(g, ol.seg-1, ol.pos)
 	}
+}
+
+// segmentStream starts segment seg's stream from generator g and skips its
+// first pos records, leaving it where a stream that never paused would be.
+func (ol *OpenLoop) segmentStream(g Generator, seg uint64, pos int) *mixStream {
+	s := g.stream(engine.DeriveSeed(ol.cfg.Seed, seg))
+	for i := 0; i < pos; i++ {
+		s.next()
+	}
+	return s
 }
 
 // Emitted returns how many requests have been produced so far.
@@ -126,21 +141,24 @@ func (ol *OpenLoop) Next(dst []trace.Record) int {
 		if ol.cfg.ShiftAfter > 0 && !ol.shifted && ol.emitted >= ol.cfg.ShiftAfter {
 			ol.shifted = true
 			if ol.cfg.ShiftTo != nil {
-				ol.pos = len(ol.buf) // discard the pre-shift remainder
+				ol.src = nil // discard the pre-shift remainder
 			}
 		}
-		if ol.pos >= len(ol.buf) {
+		if ol.src == nil {
 			g := ol.g
 			ol.bufShifted = ol.shifted && ol.cfg.ShiftTo != nil
 			if ol.bufShifted {
 				g = ol.cfg.ShiftTo
 			}
-			ol.buf = g.Generate(ol.cfg.SegmentLen, engine.DeriveSeed(ol.cfg.Seed, ol.seg))
+			ol.src = g.stream(engine.DeriveSeed(ol.cfg.Seed, ol.seg))
 			ol.pos = 0
 			ol.seg++
 		}
-		r := ol.buf[ol.pos]
+		r := ol.src.next()
 		ol.pos++
+		if ol.pos == ol.cfg.SegmentLen {
+			ol.src = nil // segment used up; the next record starts a new one
+		}
 		if ol.shifted {
 			r.Addr += ol.cfg.ShiftOffsetPages << trace.PageShift
 		}
@@ -152,11 +170,12 @@ func (ol *OpenLoop) Next(dst []trace.Record) int {
 	return len(dst)
 }
 
-// OpenLoopState is the stream's full mutable state. The in-flight segment
-// buffer is NOT stored: it is a pure function of (Seed, Seg-1) and the
-// generator choice recorded in BufShifted, so RestoreState regenerates it —
-// which is what keeps a checkpoint small and a restored stream bit-identical
-// to one that never paused.
+// OpenLoopState is the stream's full mutable state. The in-flight segment's
+// records are NOT stored: they are a pure function of (Seed, Seg-1) and the
+// generator choice recorded in BufShifted, so RestoreState rebuilds the
+// segment's stream and skips the Pos records already emitted — which is what
+// keeps a checkpoint small and a restored stream bit-identical to one that
+// never paused.
 type OpenLoopState struct {
 	Seg        uint64  `json:"seg"`
 	Pos        int     `json:"pos"`
@@ -180,8 +199,8 @@ func (ol *OpenLoop) State() OpenLoopState {
 }
 
 // RestoreState rewinds (or fast-forwards) the stream to an exported state,
-// regenerating the in-flight segment deterministically. The receiver must
-// have been built with the same generator and config as the exporter.
+// rebuilding the in-flight segment's stream deterministically. The receiver
+// must have been built with the same generator and config as the exporter.
 func (ol *OpenLoop) RestoreState(s OpenLoopState) error {
 	if s.Seg == 0 && s.Pos != 0 {
 		return errors.New("workload: open-loop state has a cursor into a segment that was never generated")
@@ -194,13 +213,13 @@ func (ol *OpenLoop) RestoreState(s OpenLoopState) error {
 	}
 	ol.seg, ol.pos, ol.emitted = s.Seg, s.Pos, s.Emitted
 	ol.clockNs, ol.shifted, ol.bufShifted = s.ClockNs, s.Shifted, s.BufShifted
-	ol.buf = nil
-	if s.Seg > 0 {
+	ol.src = nil
+	if s.Seg > 0 && s.Pos < ol.cfg.SegmentLen {
 		g := ol.g
 		if s.BufShifted {
 			g = ol.cfg.ShiftTo
 		}
-		ol.buf = g.Generate(ol.cfg.SegmentLen, engine.DeriveSeed(ol.cfg.Seed, s.Seg-1))
+		ol.src = ol.segmentStream(g, s.Seg-1, s.Pos)
 	}
 	return nil
 }

@@ -72,7 +72,7 @@ func TestOpenLoopStateRoundTrip(t *testing.T) {
 }
 
 // TestOpenLoopStateShiftTo covers the generator-swap drift: a restore landing
-// after the swap must regenerate the in-flight segment from the ShiftTo
+// after the swap must rebuild the in-flight segment from the ShiftTo
 // generator, not the base one.
 func TestOpenLoopStateShiftTo(t *testing.T) {
 	t.Parallel()

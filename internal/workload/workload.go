@@ -20,12 +20,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Generator produces a synthetic memory-access trace.
+// Generator produces a synthetic memory-access trace. Every generator is a
+// configuration of the package's mixture machine (the seven paper benchmarks
+// and Custom), so the interface is sealed: streams pull records from the
+// machine directly instead of materializing traces.
 type Generator interface {
 	// Name is the benchmark name as it appears in the paper's tables.
 	Name() string
-	// Generate produces n records using the given seed.
+	// Generate produces n records using the given seed: the first n records
+	// of the seed's stream, with Time set to the record index.
 	Generate(n int, seed int64) trace.Trace
+	// stream starts the seed's unbounded record stream.
+	stream(seed int64) *mixStream
 }
 
 // Registry returns all seven paper benchmarks in the order the paper's
